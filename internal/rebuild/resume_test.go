@@ -12,11 +12,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"fbf/internal/codes"
 	"fbf/internal/grid"
 	"fbf/internal/store"
 	"fbf/internal/store/faultstore"
+	"fbf/internal/verify"
 )
 
 const resumeSeed int64 = 424242
@@ -261,6 +264,73 @@ func TestResumeOracleCatchesLyingCommit(t *testing.T) {
 	if _, err := os.Stat(journal); !os.IsNotExist(err) {
 		t.Fatalf("journal survives clean completion: %v", err)
 	}
+}
+
+// TestResumeKeepsCRCVerdictOnDamagedSource pins the per-stripe resume
+// solve when a source is damaged: of two honest commits in one stripe,
+// the one whose oracle plan reads a chunk deleted since the crash keeps
+// its CRC verdict (neither flagged nor counted as oracle-verified),
+// while the other is still oracle-checked by a solve without it.
+func TestResumeKeepsCRCVerdictOnDamagedSource(t *testing.T) {
+	m := testManifest("star", 5, 1, 64)
+	root := t.TempDir()
+	d := openResumeDir(t, root)
+	if err := InitStore(d, m, resumeSeed); err != nil {
+		t.Fatal(err)
+	}
+	code := codes.MustNew("star", 5)
+	committed := []grid.Coord{{Row: 0, Col: 0}, {Row: 0, Col: 1}}
+	oracle, err := verify.NewOracle(code, committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var victim *grid.Coord
+	for _, src := range oracle.Sources(committed[0]) {
+		if !slices.Contains(oracle.Sources(committed[1]), src) {
+			victim = &src
+			break
+		}
+	}
+	if victim == nil {
+		t.Fatalf("every source of %v also feeds %v; pick other cells", committed[0], committed[1])
+	}
+
+	journal := filepath.Join(root, "rebuild.journal")
+	j, _, err := OpenJournal(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendPlan(0, committed); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, m.ChunkSize)
+	for _, c := range committed {
+		if _, err := d.ReadChunk(AddrOf(0, c), buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.AppendCommit(AddrOf(0, c), PayloadCRC(buf)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Delete(AddrOf(0, *victim)); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := RunService(ServiceConfig{Backend: d, Manifest: m, JournalPath: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ResumedCommits != 2 || res.ResumeVerified != 1 {
+		t.Fatalf("resume: %d commits replayed, %d verified; want 2 and 1", res.ResumedCommits, res.ResumeVerified)
+	}
+	if res.Report.CorruptChunks != 0 || res.ChunksRebuilt != 1 || res.DataLoss {
+		t.Fatalf("resume: %d corrupt, %d rebuilt, data loss %v; want 0, 1 (the deleted source), false",
+			res.Report.CorruptChunks, res.ChunksRebuilt, res.DataLoss)
+	}
+	checkAgainstGroundTruth(t, d, m, resumeSeed)
 }
 
 // stopAfterWrites closes a stop channel once the backend has absorbed n

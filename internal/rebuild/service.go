@@ -9,6 +9,7 @@ package rebuild
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -569,14 +570,12 @@ func (s *service) stopRequested() bool {
 // verifyResumed re-checks every chunk a prior run journaled as
 // committed in a stripe it never finished: the payload must match the
 // journaled CRC and (when the journaled lost set makes the cell
-// solvable) re-derive identically through the GF(2) oracle. A chunk
-// that fails either check is flagged as corrupt damage so the repair
-// loop rebuilds it; a chunk the fresh scan already flagged needs no
-// second opinion.
+// solvable) re-derive identically through the GF(2) oracle, solved once
+// per stripe for all such cells. A chunk that fails either check is
+// flagged as corrupt damage so the repair loop rebuilds it; a chunk the
+// fresh scan already flagged needs no second opinion.
 func (s *service) verifyResumed(st *JournalState) error {
 	m := s.cfg.Manifest
-	buf := s.pool.GetRaw()
-	defer s.pool.Put(buf)
 	for _, stripe := range st.InFlight() {
 		lost := st.Plans[stripe]
 		var cells []grid.Coord
@@ -593,6 +592,11 @@ func (s *service) verifyResumed(st *JournalState) error {
 		if err != nil {
 			return err
 		}
+		// The journal CRC first; CRC-clean solvable cells keep their
+		// bytes for the oracle.
+		var check []grid.Coord
+		var got []chunk.Chunk
+		buf := s.pool.GetRaw()
 		for _, cell := range cells {
 			a := AddrOf(stripe, cell)
 			n, err := s.cfg.Backend.ReadChunk(a, buf)
@@ -606,48 +610,68 @@ func (s *service) verifyResumed(st *JournalState) error {
 				s.flagResumedCorrupt(stripe, cell)
 				continue
 			}
-			if oracle.Solvable(cell) {
-				var readErr error
-				err := oracle.Check(cell, buf, func(src grid.Coord, dst chunk.Chunk) error {
-					rn, rerr := s.cfg.Backend.ReadChunk(AddrOf(stripe, src), dst)
-					if rerr != nil {
-						readErr = rerr
-						return rerr
-					}
-					if rn != len(dst) {
-						rerr = fmt.Errorf("rebuild: resume oracle read %v: %d bytes, want %d", src, rn, len(dst))
-						readErr = rerr
-						return rerr
-					}
-					s.res.VerifyReads++
-					if mt := s.cfg.Metrics; mt != nil {
-						mt.VerifyReads.Inc()
-					}
-					return nil
-				})
-				switch {
-				case err == nil:
-				case readErr != nil && (store.IsNotFound(readErr) || store.IsCorrupt(readErr)):
-					// A source the oracle needs is itself damaged; the
-					// CRC match stands and repairing the stripe's fresh
-					// damage is what restores full verifiability.
-					continue
-				case readErr != nil:
-					return err
-				default:
-					// Structurally valid bytes that do not re-derive:
-					// the commit lied (tampering, silent corruption).
-					s.flagResumedCorrupt(stripe, cell)
-					continue
-				}
+			if !oracle.Solvable(cell) {
+				s.resumeVerified()
+				continue
 			}
-			s.res.ResumeVerified++
-			if mt := s.cfg.Metrics; mt != nil {
-				mt.ResumedVerified.Inc()
-			}
+			check, got = append(check, cell), append(got, buf)
+			buf = s.pool.GetRaw()
+		}
+		s.pool.Put(buf)
+		err = s.resumeOracle(stripe, oracle, check, got)
+		for _, c := range got {
+			s.pool.Put(c)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// resumeOracle diffs the committed bytes got[i] of each cells[i] against
+// one oracle solve for all of them. A cell whose plan reads a damaged
+// source keeps its CRC verdict (it is neither flagged nor counted as
+// verified: repairing the stripe's fresh damage is what restores full
+// verifiability), and the rest are solved again without it; every
+// retry drops at least one cell.
+func (s *service) resumeOracle(stripe int, oracle *verify.Oracle, cells []grid.Coord, got []chunk.Chunk) error {
+	want, release := s.pooled(len(cells))
+	defer release()
+	for len(cells) > 0 {
+		bad, err := s.solve(stripe, oracle, cells, want[:len(cells)])
+		if err != nil {
+			return err
+		}
+		if bad == nil {
+			break
+		}
+		var keepCells []grid.Coord
+		var keepGot []chunk.Chunk
+		for i, cell := range cells {
+			if !slices.Contains(oracle.Sources(cell), *bad) {
+				keepCells, keepGot = append(keepCells, cell), append(keepGot, got[i])
+			}
+		}
+		cells, got = keepCells, keepGot
+	}
+	for i, cell := range cells {
+		if verify.Agree(cell, want[i], got[i]) != nil {
+			// Structurally valid bytes that do not re-derive: the
+			// commit lied (tampering, silent corruption).
+			s.flagResumedCorrupt(stripe, cell)
+			continue
+		}
+		s.resumeVerified()
+	}
+	return nil
+}
+
+func (s *service) resumeVerified() {
+	s.res.ResumeVerified++
+	if mt := s.cfg.Metrics; mt != nil {
+		mt.ResumedVerified.Inc()
+	}
 }
 
 // flagResumedCorrupt folds a failed resume verification into the damage
@@ -871,6 +895,12 @@ func (s *service) repairStripe(d StripeDamage) error {
 // replayChains executes the scheme's selected chains in order. It
 // returns a non-nil cell when a source read failed and the caller must
 // escalate, nil when the stripe's solvable cells are all repaired.
+//
+// Before the first write, the GF(2) oracle derives the expected bytes of
+// every cell this attempt will repair, from one backend read per
+// surviving source and never through the byte cache; each chain's
+// result must match them before it is written. An oracle source that
+// reads as missing or corrupt escalates exactly like a chain fetch.
 func (s *service) replayChains(stripe int, scheme *core.Scheme, oracle *verify.Oracle, repaired map[grid.Coord]bool, acc chunk.Chunk) (*grid.Coord, error) {
 	lostSet := make(map[grid.Coord]bool)
 	for _, a := range s.res.Lost {
@@ -878,21 +908,37 @@ func (s *service) replayChains(stripe int, scheme *core.Scheme, oracle *verify.O
 			lostSet[grid.Coord{Row: a.Chunk, Col: a.Disk}] = true
 		}
 	}
+	var todo []core.SelectedChain
 	for _, sel := range scheme.Selected {
+		if !repaired[sel.Lost] && !lostSet[sel.Lost] {
+			todo = append(todo, sel)
+		}
+	}
+	var expected []chunk.Chunk
+	if !s.cfg.NoVerify && len(todo) > 0 {
+		cells := make([]grid.Coord, len(todo))
+		for i, sel := range todo {
+			cells[i] = sel.Lost
+		}
+		var release func()
+		expected, release = s.pooled(len(todo))
+		defer release()
+		if bad, err := s.solve(stripe, oracle, cells, expected); bad != nil || err != nil {
+			return bad, err
+		}
+	}
+	for i, sel := range todo {
 		if s.stopRequested() {
 			// Graceful stop between chunk repairs: everything committed
 			// so far is journaled; the caller keeps the journal.
 			s.res.Interrupted = true
 			return nil, nil
 		}
-		if repaired[sel.Lost] || lostSet[sel.Lost] {
-			continue
-		}
 		if len(sel.Fetch) == 0 {
 			clear(acc)
 		}
-		for i, cell := range sel.Fetch {
-			err := s.fetchInto(stripe, cell, acc, i == 0)
+		for j, cell := range sel.Fetch {
+			err := s.fetchInto(stripe, cell, acc, j == 0)
 			if err == nil {
 				continue
 			}
@@ -904,8 +950,8 @@ func (s *service) replayChains(stripe int, scheme *core.Scheme, oracle *verify.O
 			}
 			return nil, err
 		}
-		if !s.cfg.NoVerify {
-			if err := s.oracleCheck(stripe, oracle, sel.Lost, acc); err != nil {
+		if expected != nil {
+			if err := verify.Agree(sel.Lost, expected[i], acc); err != nil {
 				return nil, err
 			}
 			s.res.ChunksVerified++
@@ -941,19 +987,27 @@ func (s *service) replayChains(stripe int, scheme *core.Scheme, oracle *verify.O
 	return nil, nil
 }
 
-// oracleCheck re-derives the recovered cell through the GF(2) decoder
-// plan, reading every source chunk directly from the backend (not the
-// cache), and diffs the two reconstructions.
-func (s *service) oracleCheck(stripe int, oracle *verify.Oracle, cell grid.Coord, recovered chunk.Chunk) error {
+// solve derives the expected bytes of cells into out through the GF(2)
+// oracle, reading each distinct source once straight from the backend —
+// never from the byte cache, so the check stays independent of the
+// replay in its I/O as well as its math. A source that reads as missing
+// or corrupt is returned rather than failing the run, so the caller can
+// treat it like any other unreadable survivor.
+func (s *service) solve(stripe int, oracle *verify.Oracle, cells []grid.Coord, out []chunk.Chunk) (*grid.Coord, error) {
 	buf := s.pool.GetRaw()
 	defer s.pool.Put(buf)
-	return oracle.Check(cell, recovered, func(src grid.Coord, dst chunk.Chunk) error {
-		n, err := s.cfg.Backend.ReadChunk(AddrOf(stripe, src), dst)
-		if err != nil {
-			return err
+	var bad *grid.Coord
+	err := oracle.Solve(cells, out, buf, func(src grid.Coord, dst chunk.Chunk) error {
+		a := AddrOf(stripe, src)
+		n, err := s.cfg.Backend.ReadChunk(a, dst)
+		if err == nil && n != len(dst) {
+			err = &store.CorruptError{Addr: a, Err: fmt.Errorf("payload is %d bytes, manifest says %d", n, len(dst))}
 		}
-		if n != len(dst) {
-			return fmt.Errorf("rebuild: oracle read %v: %d bytes, want %d", src, n, len(dst))
+		if err != nil {
+			if store.IsNotFound(err) || store.IsCorrupt(err) {
+				bad = &src
+			}
+			return err
 		}
 		s.res.VerifyReads++
 		if mt := s.cfg.Metrics; mt != nil {
@@ -961,6 +1015,24 @@ func (s *service) oracleCheck(stripe int, oracle *verify.Oracle, cell grid.Coord
 		}
 		return nil
 	})
+	if bad != nil {
+		return bad, nil
+	}
+	return nil, err
+}
+
+// pooled takes n chunk buffers from the pool and returns them with the
+// function that gives them back.
+func (s *service) pooled(n int) ([]chunk.Chunk, func()) {
+	bufs := make([]chunk.Chunk, n)
+	for i := range bufs {
+		bufs[i] = s.pool.GetRaw()
+	}
+	return bufs, func() {
+		for _, c := range bufs {
+			s.pool.Put(c)
+		}
+	}
 }
 
 // fetchInto reads one source cell's bytes — from the byte cache on a

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fbf/internal/chunk"
@@ -11,6 +12,7 @@ import (
 	"fbf/internal/core"
 	"fbf/internal/grid"
 	"fbf/internal/store"
+	"fbf/internal/verify"
 )
 
 func testManifest(codeName string, p, stripes, chunkSize int) store.ArrayManifest {
@@ -276,6 +278,163 @@ func TestServiceEscalation(t *testing.T) {
 	// The rotted survivor must have been rebuilt too.
 	if res.ChunksRebuilt != len(lost)+1 {
 		t.Errorf("ChunksRebuilt = %d, want %d", res.ChunksRebuilt, len(lost)+1)
+	}
+	checkAgainstGroundTruth(t, b, m, seed)
+}
+
+// TestServiceEscalatesOracleOnlySource rots a survivor the GF(2)
+// oracle reads but no selected chain fetches, with scrub off so the scan
+// misses it. The oracle's unreadable source must escalate like a chain
+// fetch — join the lost set, regenerate, and end in a byte-exact array —
+// rather than abort the rebuild.
+func TestServiceEscalatesOracleOnlySource(t *testing.T) {
+	const seed = 5
+	m := testManifest("star", 5, 2, 64)
+	dir := t.TempDir()
+	b, err := store.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := InitStore(b, m, seed); err != nil {
+		t.Fatal(err)
+	}
+	code := codes.MustNew("star", 5)
+
+	e := core.PartialStripeError{Stripe: 0, Disk: 0, Row: 0, Size: 3}
+	lost := e.LostCells()
+	scheme, _, err := core.RegenerateScheme(code, e, lost, nil, core.StrategyLooped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := verify.NewOracle(code, lost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetched := make(map[grid.Coord]bool)
+	for _, sel := range scheme.Selected {
+		for _, c := range sel.Fetch {
+			fetched[c] = true
+		}
+	}
+	var victim *grid.Coord
+	for _, sel := range scheme.Selected {
+		for _, src := range oracle.Sources(sel.Lost) {
+			if !fetched[src] && victim == nil {
+				src := src
+				victim = &src
+			}
+		}
+	}
+	if victim == nil {
+		t.Fatal("every oracle source is also a chain fetch; the pattern cannot exercise an oracle-only source")
+	}
+	for _, c := range lost {
+		if err := b.Delete(AddrOf(0, c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rotPayloadByte(t, dir, AddrOf(0, *victim))
+
+	res, err := RunService(ServiceConfig{Backend: b, Manifest: m, Strategy: core.StrategyLooped})
+	if err != nil {
+		t.Fatalf("RunService with oracle-only source %v rotted: %v", *victim, err)
+	}
+	if res.Escalations < 1 {
+		t.Fatalf("rotted oracle source %v did not escalate: %+v", *victim, res)
+	}
+	if res.DataLoss {
+		t.Fatalf("data loss after escalation: %v", res.Lost)
+	}
+	if res.ChunksVerified != res.ChunksRebuilt {
+		t.Errorf("%d chunks rebuilt, %d oracle-checked", res.ChunksRebuilt, res.ChunksVerified)
+	}
+	checkAgainstGroundTruth(t, b, m, seed)
+}
+
+// lyingBackend returns flipped bytes, without error, on the nth read
+// of one address — a silent corruption in flight that only a second,
+// independent backend read can expose.
+type lyingBackend struct {
+	store.Backend
+	target store.Addr
+	nth    int
+	reads  int
+}
+
+func (l *lyingBackend) ReadChunk(a store.Addr, dst []byte) (int, error) {
+	n, err := l.Backend.ReadChunk(a, dst)
+	if err == nil && a == l.target {
+		l.reads++
+		if l.reads == l.nth {
+			dst[0] ^= 0xFF
+		}
+	}
+	return n, err
+}
+
+// TestServiceOracleCatchesLyingRead pins that the oracle reads its
+// sources from the backend on its own: when one of the two reads of a
+// survivor (the oracle's and the replay's) returns different valid-
+// looking bytes, the chain result and the oracle disagree and the lost
+// chunk that chain rebuilds is never written. Were the oracle fed from
+// the replay's cache or buffers, the survivor would be read once and
+// the lie would go unseen.
+func TestServiceOracleCatchesLyingRead(t *testing.T) {
+	const seed = 17
+	m := testManifest("star", 5, 1, 64)
+	b := initMem(t, m, seed)
+	code := codes.MustNew("star", 5)
+	e := core.PartialStripeError{Stripe: 0, Disk: 0, Row: 0, Size: 3}
+	lost := e.LostCells()
+	scheme, _, err := core.RegenerateScheme(code, e, lost, nil, core.StrategyLooped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range lost {
+		if err := b.Delete(AddrOf(0, c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := scheme.Selected[0]
+	liar := &lyingBackend{Backend: b, target: AddrOf(0, first.Fetch[0]), nth: 2}
+	_, err = RunService(ServiceConfig{Backend: liar, Manifest: m, Strategy: core.StrategyLooped})
+	if err == nil || !strings.Contains(err.Error(), "disagree") {
+		t.Fatalf("RunService with a lying read of %v = %v, want an oracle disagreement", first.Fetch[0], err)
+	}
+	if liar.reads < 2 {
+		t.Fatalf("survivor %v read %d times; the oracle and the replay must each read it", first.Fetch[0], liar.reads)
+	}
+	if _, err := b.ReadChunk(AddrOf(0, first.Lost), make([]byte, m.ChunkSize)); !store.IsNotFound(err) {
+		t.Fatalf("lost chunk %v was written despite the disagreement (read = %v)", first.Lost, err)
+	}
+}
+
+// TestServiceOracleReadsPerStripe pins the oracle's I/O exactly: a
+// whole-stripe loss on STAR p=7 (the horizontal-parity disk plus two
+// data disks) is verified from one backend read per surviving chunk,
+// the same 42 per stripe the replay reads with a cache that holds the
+// stripe.
+func TestServiceOracleReadsPerStripe(t *testing.T) {
+	const seed, stripes = 31, 3
+	m := testManifest("star", 7, stripes, 64)
+	b := initMem(t, m, seed)
+	killed := []int{7, 1, 2}
+	for _, d := range killed {
+		killDisk(t, b, d)
+	}
+	res, err := RunService(ServiceConfig{Backend: b, Manifest: m, Strategy: core.StrategyLooped})
+	if err != nil {
+		t.Fatal(err)
+	}
+	survivors := uint64((m.Disks - len(killed)) * m.Rows)
+	if survivors != 42 {
+		t.Fatalf("STAR p=7 minus three disks has %d survivors per stripe, want 42", survivors)
+	}
+	if want := survivors * stripes; res.VerifyReads != want || res.DiskReads != want {
+		t.Fatalf("VerifyReads = %d, DiskReads = %d, want both %d (42 per stripe)", res.VerifyReads, res.DiskReads, want)
+	}
+	if res.ChunksVerified != res.ChunksRebuilt || res.DataLoss {
+		t.Fatalf("%d rebuilt, %d verified, data loss %v", res.ChunksRebuilt, res.ChunksVerified, res.DataLoss)
 	}
 	checkAgainstGroundTruth(t, b, m, seed)
 }

@@ -155,26 +155,61 @@ func (d *Dir) chunkPath(a Addr) string {
 	return filepath.Join(d.root, DiskDirName(a.Disk), chunkFileName(a))
 }
 
-// ReadChunk implements Backend.
+// ReadChunk implements Backend. It reads the header onto the stack and
+// the payload straight into dst, with one open and no intermediate
+// buffer, and validates in DecodeChunk's order with its errors: header,
+// framing (the file's size against the declared length), payload CRC,
+// address. dst may hold partial bytes when an error is returned.
 func (d *Dir) ReadChunk(a Addr, dst []byte) (int, error) {
 	if !a.Valid() {
 		return 0, &NotFoundError{Addr: a}
 	}
-	data, err := os.ReadFile(d.chunkPath(a))
+	f, err := os.Open(d.chunkPath(a))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return 0, &NotFoundError{Addr: a}
 		}
 		return 0, fmt.Errorf("store: reading %v: %w", a, err)
 	}
-	_, payload, err := DecodeChunk(data, a)
+	defer f.Close()
+	var hdr [HeaderSize]byte
+	n, err := io.ReadFull(f, hdr[:])
+	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+		return 0, fmt.Errorf("store: reading %v: %w", a, err)
+	}
+	h, err := DecodeHeader(hdr[:n])
 	if err != nil {
 		return 0, &CorruptError{Addr: a, Err: err}
 	}
-	if len(dst) < len(payload) {
-		return 0, fmt.Errorf("store: %v: destination buffer %d bytes, chunk payload %d", a, len(dst), len(payload))
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("store: reading %v: %w", a, err)
 	}
-	return copy(dst, payload), nil
+	if err := checkFraming(h, fi.Size()-HeaderSize); err != nil {
+		return 0, &CorruptError{Addr: a, Err: err}
+	}
+	// A too-short dst is the caller's error, reported only for a chunk
+	// that validates; the payload is still read (into scratch) so a
+	// corrupt chunk reads as corrupt whatever the buffer.
+	payload := dst
+	if len(dst) < h.Length {
+		payload = make([]byte, h.Length)
+	}
+	payload = payload[:h.Length]
+	if n, err := io.ReadFull(f, payload); err != nil {
+		if err != io.ErrUnexpectedEOF && err != io.EOF {
+			return 0, fmt.Errorf("store: reading %v: %w", a, err)
+		}
+		// The file shrank after the size check.
+		return 0, &CorruptError{Addr: a, Err: checkFraming(h, int64(n))}
+	}
+	if err := checkPayload(h, payload, a); err != nil {
+		return 0, &CorruptError{Addr: a, Err: err}
+	}
+	if len(dst) < h.Length {
+		return 0, fmt.Errorf("store: %v: destination buffer %d bytes, chunk payload %d", a, len(dst), h.Length)
+	}
+	return h.Length, nil
 }
 
 // WriteChunk implements Backend. The durable sequence is write temp →

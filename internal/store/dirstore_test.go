@@ -1,9 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -282,4 +285,116 @@ func rewriteVersion(t *testing.T, path string, version uint16) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDirReadChunkAllocs pins the copy-free read path: a 64 KiB chunk
+// read lands straight in the caller's buffer, so the bytes allocated
+// per read are the file handle's bookkeeping, not a payload copy.
+func TestDirReadChunkAllocs(t *testing.T) {
+	d, err := OpenDirWith(t.TempDir(), DirOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := Addr{Disk: 3, Stripe: 9, Chunk: 1}
+	p := payload(a, 64<<10)
+	if err := d.WriteChunk(a, p); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, len(p))
+	read := func() {
+		if n, err := d.ReadChunk(a, dst); err != nil || n != len(p) {
+			t.Fatalf("ReadChunk = %d, %v", n, err)
+		}
+	}
+	const runs = 200
+	allocs := testing.AllocsPerRun(runs, read)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	perRead := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("ReadChunk(64 KiB): %.0f allocs, %.0f bytes per read", allocs, perRead)
+	if perRead >= 1024 {
+		t.Fatalf("ReadChunk allocates %.0f bytes per 64 KiB read, want < 1 KiB", perRead)
+	}
+	if !bytes.Equal(dst, p) {
+		t.Fatal("ReadChunk returned wrong bytes")
+	}
+}
+
+// TestDirReadChunkMatchesDecodeChunk pins that the streaming read path
+// keeps DecodeChunk's contract: for each damaged chunk file, ReadChunk
+// fails with the same codec error DecodeChunk reports on the file's
+// bytes, or returns the same payload.
+func TestDirReadChunkMatchesDecodeChunk(t *testing.T) {
+	d, err := OpenDirWith(t.TempDir(), DirOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := Addr{Disk: 2, Stripe: 7, Chunk: 1}
+	valid := EncodeChunk(a, payload(a, 512))
+	mutate := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), valid...)) }
+	cases := []struct {
+		name   string
+		data   []byte
+		dstLen int
+	}{
+		{"valid", valid, 512},
+		{"valid-large-dst", valid, 4096},
+		{"empty", nil, 512},
+		{"short-header", valid[:HeaderSize-5], 512},
+		{"header-only", valid[:HeaderSize], 512},
+		{"bad-magic", mutate(func(b []byte) []byte { b[1] ^= 0xFF; return b }), 512},
+		{"header-crc", mutate(func(b []byte) []byte { b[13] ^= 0x01; return b }), 512},
+		{"version-skew", mutate(func(b []byte) []byte { b[4] = 9; resealHeader(b); return b }), 512},
+		{"short-payload", valid[:len(valid)-3], 512},
+		{"trailing-bytes", append(append([]byte(nil), valid...), "junk"...), 512},
+		{"payload-crc", mutate(func(b []byte) []byte { b[HeaderSize+300] ^= 0x10; return b }), 512},
+		{"address", EncodeChunk(Addr{Disk: 2, Stripe: 7, Chunk: 0}, payload(a, 512)), 512},
+		{"short-dst", valid, 511},
+		{"short-dst-corrupt", mutate(func(b []byte) []byte { b[HeaderSize] ^= 0x10; return b }), 100},
+		{"short-dst-address", EncodeChunk(Addr{Disk: 9, Stripe: 7, Chunk: 1}, payload(a, 512)), 10},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if msg := readMatchesDecode(d, a, c.data, c.dstLen); msg != "" {
+				t.Fatal(msg)
+			}
+		})
+	}
+}
+
+// readMatchesDecode writes data as the chunk file of a, reads it back
+// through d.ReadChunk into a dstLen-byte buffer, and compares with
+// DecodeChunk on the same bytes. It returns "" when they agree: the
+// same codec error (message included), or the same payload — or, for a
+// valid chunk larger than dst, a buffer error that is neither corrupt
+// nor not-found.
+func readMatchesDecode(d *Dir, a Addr, data []byte, dstLen int) string {
+	path := d.chunkPath(a)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err.Error()
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return err.Error()
+	}
+	dst := make([]byte, dstLen)
+	n, err := d.ReadChunk(a, dst)
+	_, want, derr := DecodeChunk(data, a)
+	var cerr *CorruptError
+	switch {
+	case derr != nil:
+		if !errors.As(err, &cerr) || cerr.Err.Error() != derr.Error() {
+			return fmt.Sprintf("ReadChunk = %v, DecodeChunk = %v", err, derr)
+		}
+	case dstLen < len(want):
+		if err == nil || IsCorrupt(err) || IsNotFound(err) {
+			return fmt.Sprintf("ReadChunk of a %d-byte payload into %d bytes = %v, want a buffer error", len(want), dstLen, err)
+		}
+	case err != nil || !bytes.Equal(dst[:n], want):
+		return fmt.Sprintf("ReadChunk = %d bytes, %v; DecodeChunk decoded %d bytes", n, err, len(want))
+	}
+	return ""
 }

@@ -10,7 +10,10 @@ import (
 // fed to DecodeHeader/DecodeChunk must either decode to a header whose
 // canonical re-encoding reproduces the input bit-for-bit, or fail with
 // one of the typed codec errors — never panic, never over-read, never
-// return an out-of-bounds payload. The checked-in corpus
+// return an out-of-bounds payload. Each input is also written as a
+// chunk file and read back through Dir.ReadChunk, which must agree with
+// DecodeChunk on the same bytes (same error, or same payload), into a
+// full-size and a short buffer. The checked-in corpus
 // (testdata/fuzz/FuzzManifest) pins a valid chunk plus the truncation,
 // bit-flip and version-skew shapes as replayable regression cases.
 func FuzzManifest(f *testing.F) {
@@ -40,7 +43,17 @@ func FuzzManifest(f *testing.F) {
 		return false
 	}
 
+	d, err := OpenDirWith(f.TempDir(), DirOptions{NoSync: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, dstLen := range []int{len(data), len(data) / 2} {
+			if msg := readMatchesDecode(d, a, data, dstLen); msg != "" {
+				t.Fatal(msg)
+			}
+		}
 		h, err := DecodeHeader(data)
 		if err != nil {
 			if !isTyped(err) {

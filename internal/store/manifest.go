@@ -146,17 +146,35 @@ func DecodeChunk(b []byte, want Addr) (Header, []byte, error) {
 	if err != nil {
 		return Header{}, nil, err
 	}
-	if got := len(b) - HeaderSize; got != h.Length {
-		return Header{}, nil, fmt.Errorf("%w: payload is %d bytes, header declares %d", ErrTruncated, got, h.Length)
+	if err := checkFraming(h, int64(len(b)-HeaderSize)); err != nil {
+		return Header{}, nil, err
 	}
 	payload := b[HeaderSize : HeaderSize+h.Length]
-	if got := crc32.Checksum(payload, castagnoli); got != h.PayloadCRC {
-		return Header{}, nil, fmt.Errorf("%w: payload CRC %08x, computed %08x", ErrChecksum, h.PayloadCRC, got)
-	}
-	if h.Addr != want {
-		return Header{}, nil, fmt.Errorf("%w: chunk stored as %v, addressed as %v", ErrAddrMismatch, h.Addr, want)
+	if err := checkPayload(h, payload, want); err != nil {
+		return Header{}, nil, err
 	}
 	return h, payload, nil
+}
+
+// checkFraming compares the payload bytes present after the header
+// with the length the header declares.
+func checkFraming(h Header, got int64) error {
+	if got != int64(h.Length) {
+		return fmt.Errorf("%w: payload is %d bytes, header declares %d", ErrTruncated, got, h.Length)
+	}
+	return nil
+}
+
+// checkPayload validates a framed payload: its CRC against the header,
+// then the stored address against want.
+func checkPayload(h Header, payload []byte, want Addr) error {
+	if got := crc32.Checksum(payload, castagnoli); got != h.PayloadCRC {
+		return fmt.Errorf("%w: payload CRC %08x, computed %08x", ErrChecksum, h.PayloadCRC, got)
+	}
+	if h.Addr != want {
+		return fmt.Errorf("%w: chunk stored as %v, addressed as %v", ErrAddrMismatch, h.Addr, want)
+	}
+	return nil
 }
 
 // ArrayManifest describes the array a store holds: which erasure code
