@@ -16,6 +16,7 @@ import (
 
 	"fbf"
 	"fbf/internal/chunk"
+	"fbf/internal/rebuild"
 )
 
 // benchRebuildPolicies is the pair the paper's headline comparison
@@ -32,7 +33,7 @@ func benchRebuild(b *testing.B, codeName, policy string) {
 	errors := benchTrace(b, code, 48)
 	b.ReportAllocs()
 	b.ResetTimer()
-	var last *fbf.SimResult
+	var last *rebuild.Result
 	for i := 0; i < b.N; i++ {
 		res, err := fbf.Run(fbf.SimConfig{
 			Code: code, Policy: policy, Strategy: fbf.StrategyLooped,

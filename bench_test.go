@@ -11,6 +11,9 @@ import (
 	"testing"
 
 	"fbf"
+	"fbf/internal/cache"
+	"fbf/internal/core"
+	"fbf/internal/rebuild"
 )
 
 // benchTrace memoizes one error trace per (code, prime) so every policy
@@ -33,10 +36,10 @@ func benchTrace(b *testing.B, code *fbf.Code, groups int) []fbf.PartialStripeErr
 	return t
 }
 
-func runRecovery(b *testing.B, code *fbf.Code, policy string, cacheMB, workers int, skipWrites bool) *fbf.SimResult {
+func runRecovery(b *testing.B, code *fbf.Code, policy string, cacheMB, workers int, skipWrites bool) *rebuild.Result {
 	b.Helper()
 	errors := benchTrace(b, code, 64)
-	var last *fbf.SimResult
+	var last *rebuild.Result
 	for i := 0; i < b.N; i++ {
 		res, err := fbf.Run(fbf.SimConfig{
 			Code:            code,
@@ -168,7 +171,7 @@ func BenchmarkTable5(b *testing.B) {
 func BenchmarkAblationScheme(b *testing.B) {
 	code := fbf.MustNewCode("tip", 13)
 	errors := benchTrace(b, code, 64)
-	for _, strategy := range []fbf.Strategy{fbf.StrategyTypical, fbf.StrategyLooped, fbf.StrategyGreedy} {
+	for _, strategy := range []fbf.Strategy{fbf.StrategyTypical, fbf.StrategyLooped, core.StrategyGreedy} {
 		b.Run("strategy="+strategy.String(), func(b *testing.B) {
 			var unique int
 			for i := 0; i < b.N; i++ {
@@ -193,7 +196,7 @@ func BenchmarkAblationDiskModel(b *testing.B) {
 	errors := benchTrace(b, code, 64)
 	for _, policy := range []string{"lru", "fbf"} {
 		b.Run("positional/policy="+policy, func(b *testing.B) {
-			var last *fbf.SimResult
+			var last *rebuild.Result
 			for i := 0; i < b.N; i++ {
 				res, err := fbf.Run(fbf.SimConfig{
 					Code: code, Policy: policy, Strategy: fbf.StrategyLooped,
@@ -217,9 +220,9 @@ func BenchmarkAblationDiskModel(b *testing.B) {
 func BenchmarkAblationGreedy(b *testing.B) {
 	code := fbf.MustNewCode("tip", 13)
 	errors := benchTrace(b, code, 64)
-	for _, strategy := range []fbf.Strategy{fbf.StrategyLooped, fbf.StrategyGreedy} {
+	for _, strategy := range []fbf.Strategy{fbf.StrategyLooped, core.StrategyGreedy} {
 		b.Run("strategy="+strategy.String(), func(b *testing.B) {
-			var last *fbf.SimResult
+			var last *rebuild.Result
 			for i := 0; i < b.N; i++ {
 				res, err := fbf.Run(fbf.SimConfig{
 					Code: code, Policy: "fbf", Strategy: strategy,
@@ -269,7 +272,7 @@ func BenchmarkCachePolicies(b *testing.B) {
 	}
 	for _, name := range fbf.PolicyNames() {
 		b.Run("policy="+name, func(b *testing.B) {
-			policy, err := fbf.NewPolicy(name, 256)
+			policy, err := cache.New(name, 256)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -295,10 +298,10 @@ func BenchmarkCachePolicies(b *testing.B) {
 func BenchmarkAblationMode(b *testing.B) {
 	code := fbf.MustNewCode("tip", 13)
 	errors := benchTrace(b, code, 64)
-	for _, mode := range []fbf.Mode{fbf.ModeSOR, fbf.ModeDOR} {
+	for _, mode := range []rebuild.Mode{rebuild.ModeSOR, rebuild.ModeDOR} {
 		for _, policy := range []string{"lru", "fbf"} {
 			b.Run(fmt.Sprintf("mode=%s/policy=%s", mode, policy), func(b *testing.B) {
-				var last *fbf.SimResult
+				var last *rebuild.Result
 				for i := 0; i < b.N; i++ {
 					res, err := fbf.Run(fbf.SimConfig{
 						Code: code, Policy: policy, Strategy: fbf.StrategyLooped,
@@ -323,12 +326,12 @@ func BenchmarkOnlineRecovery(b *testing.B) {
 	errors := benchTrace(b, code, 64)
 	for _, policy := range []string{"lru", "fbf"} {
 		b.Run("policy="+policy, func(b *testing.B) {
-			var last *fbf.SimResult
+			var last *rebuild.Result
 			for i := 0; i < b.N; i++ {
 				res, err := fbf.Run(fbf.SimConfig{
 					Code: code, Policy: policy, Strategy: fbf.StrategyLooped,
 					Workers: 128, CacheChunks: 64 * 1024 / 32, Stripes: 1 << 13,
-					App: &fbf.AppWorkload{Requests: 512, Seed: 1, ErrorLocality: 0.5},
+					App: &rebuild.AppWorkload{Requests: 512, Seed: 1, ErrorLocality: 0.5},
 				}, errors)
 				if err != nil {
 					b.Fatal(err)
@@ -356,7 +359,7 @@ func BenchmarkLRCBoundary(b *testing.B) {
 	}
 	for _, policy := range []string{"lru", "fbf"} {
 		b.Run("policy="+policy, func(b *testing.B) {
-			var last *fbf.SimResult
+			var last *rebuild.Result
 			for i := 0; i < b.N; i++ {
 				res, err := fbf.Run(fbf.SimConfig{
 					Code: code, Policy: policy, Strategy: fbf.StrategyLooped,
@@ -386,7 +389,7 @@ func BenchmarkClusteredErrors(b *testing.B) {
 	}
 	for _, policy := range benchPolicies {
 		b.Run("policy="+policy, func(b *testing.B) {
-			var last *fbf.SimResult
+			var last *rebuild.Result
 			for i := 0; i < b.N; i++ {
 				res, err := fbf.Run(fbf.SimConfig{
 					Code: code, Policy: policy, Strategy: fbf.StrategyLooped,

@@ -28,7 +28,7 @@ import (
 	"log"
 	"os"
 
-	"fbf"
+	"fbf/internal/obs"
 )
 
 func main() {
@@ -55,14 +55,14 @@ func main() {
 		return
 	}
 
-	events, err := fbf.ReadTraceJSONL(f)
+	events, err := obs.ReadJSONL(f)
 	if err != nil {
 		log.Fatalf("%s: %v", path, err)
 	}
-	if err := fbf.ValidateTrace(events); err != nil {
+	if err := obs.Validate(events); err != nil {
 		log.Fatalf("%s: %v", path, err)
 	}
-	if err := fbf.RenderTraceSummary(os.Stdout, fbf.SummarizeTrace(events)); err != nil {
+	if err := obs.RenderSummary(os.Stdout, obs.Summarize(events)); err != nil {
 		log.Fatal(err)
 	}
 }

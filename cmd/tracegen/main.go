@@ -13,7 +13,8 @@ import (
 	"log"
 	"os"
 
-	"fbf"
+	"fbf/internal/codes"
+	"fbf/internal/trace"
 )
 
 func main() {
@@ -29,22 +30,15 @@ func main() {
 	fixedSize := flag.Int("size", 0, "error size for -dist fixed")
 	flag.Parse()
 
-	code, err := fbf.NewCode(*codeName, *p)
+	code, err := codes.New(*codeName, *p)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var dist fbf.SizeDist
-	switch *distName {
-	case "uniform":
-		dist = fbf.SizeUniform
-	case "fixed":
-		dist = fbf.SizeFixed
-	case "geometric":
-		dist = fbf.SizeGeometric
-	default:
-		log.Fatalf("unknown -dist %q", *distName)
+	dist, err := trace.ParseSizeDist(*distName)
+	if err != nil {
+		log.Fatalf("bad -dist: %v", err)
 	}
-	errors, err := fbf.GenerateTrace(code, fbf.TraceConfig{
+	errors, err := trace.Generate(code, trace.Config{
 		Groups:    *groups,
 		Stripes:   *stripes,
 		Seed:      *seed,
@@ -55,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := fbf.WriteTraceCSV(os.Stdout, errors); err != nil {
+	if err := trace.WriteCSV(os.Stdout, errors); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -3,8 +3,13 @@ package fbf_test
 import (
 	"bytes"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -270,5 +275,62 @@ func TestPublicAPIServing(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "SERVING") {
 		t.Error("serving rendering broken through facade")
+	}
+}
+
+// TestFacadeNamesHaveUsers keeps the facade no larger than its users:
+// every exported const, var and type in fbf.go must be written as
+// fbf.<Name> somewhere in README.md, the examples or this file.
+// Commands that need more import the internal packages directly.
+func TestFacadeNamesHaveUsers(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "fbf.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, decl := range file.Decls {
+		gen, ok := decl.(*ast.GenDecl)
+		if !ok {
+			continue
+		}
+		for _, spec := range gen.Specs {
+			switch spec := spec.(type) {
+			case *ast.TypeSpec:
+				names = append(names, spec.Name.Name)
+			case *ast.ValueSpec:
+				for _, n := range spec.Names {
+					names = append(names, n.Name)
+				}
+			}
+		}
+	}
+
+	users := []string{"README.md", "fbf_api_test.go"}
+	err = filepath.WalkDir("examples", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+			users = append(users, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	for _, path := range users {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text.Write(b)
+		text.WriteByte('\n')
+	}
+	all := text.String()
+	for _, name := range names {
+		if !ast.IsExported(name) {
+			continue
+		}
+		if !regexp.MustCompile(`\bfbf\.` + name + `\b`).MatchString(all) {
+			t.Errorf("fbf.%s has no user in README.md, examples/ or fbf_api_test.go; drop it from fbf.go", name)
+		}
 	}
 }

@@ -26,6 +26,7 @@ package telemetry
 
 import (
 	"bufio"
+	"fbf/internal/stats"
 	"fmt"
 	"io"
 	"math"
@@ -73,38 +74,24 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // holds values ≤ Bounds[i]; an implicit +Inf bucket catches the rest)
 // and tracks their sum. Safe for concurrent use.
 type Histogram struct {
-	mu     sync.Mutex
-	bounds []float64
-	counts []uint64
-	sum    float64
-	total  uint64
+	mu      sync.Mutex
+	buckets *stats.Histogram
+	sum     float64
 }
 
 // Observe records one observation.
 func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.total++
 	h.sum += v
-	for i, b := range h.bounds {
-		if v <= b {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[len(h.bounds)]++
+	h.buckets.Add(v)
 }
 
 // Snapshot returns a consistent copy of the histogram state.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := HistogramSnapshot{
-		Bounds: append([]float64(nil), h.bounds...),
-		Counts: append([]uint64(nil), h.counts...),
-		Sum:    h.sum,
-	}
-	return s
+	return HistogramSnapshot{Bounds: h.buckets.Bounds(), Counts: h.buckets.Counts(), Sum: h.sum}
 }
 
 // HistogramSnapshot is the exposition form of a histogram: bucket upper
@@ -276,15 +263,11 @@ func (r *Registry) GaugeFunc(name, help string, read func() float64, labels ...L
 // Histogram registers a histogram series over strictly increasing
 // bucket bounds and returns the cell producers observe into.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("telemetry: histogram %q bounds not increasing at %d", name, i))
-		}
+	sh, err := stats.NewHistogram(bounds)
+	if err != nil {
+		panic(fmt.Sprintf("telemetry: histogram %q: %v", name, err))
 	}
-	if len(bounds) == 0 {
-		panic(fmt.Sprintf("telemetry: histogram %q needs at least one bound", name))
-	}
-	h := &Histogram{bounds: append([]float64(nil), bounds...), counts: make([]uint64, len(bounds)+1)}
+	h := &Histogram{buckets: sh}
 	r.register(name, help, kindHistogram, &series{labels: renderLabels(labels), hist: h.Snapshot})
 	return h
 }
